@@ -4,7 +4,7 @@ Sweeps the holistic kernel's ``num_workers`` knob over the same
 multi-column refinement workload and checks the multi-core shape: the
 virtual idle time to converge improves monotonically from 1 to 4
 workers, because the parallel lanes overlap worker charges while the
-piece latches keep the refinements conflict-free.
+table latches keep the refinements conflict-free.
 """
 
 import pytest

@@ -6,8 +6,8 @@ implemented in this library:
 
 * trickle inserts/deletes staged in delta stores and ripple-merged
   into the cracker column only when a query touches their value range;
-* piece-level latching for concurrent cracking selects, with a
-  deterministic round-based scheduler.
+* tuning worker threads refining indexes while queries run, with one
+  read/write latch per index keeping them conflict-free.
 
 Run:  python examples/updates_and_concurrency.py
 """
@@ -15,11 +15,6 @@ Run:  python examples/updates_and_concurrency.py
 import numpy as np
 
 from repro import Database, SimClock, scale_by_name
-from repro.cracking import (
-    ClientQuery,
-    ConcurrentCrackScheduler,
-    CrackerIndex,
-)
 from repro.storage import build_paper_table
 
 SCALE = scale_by_name("small")
@@ -57,32 +52,40 @@ def updates_demo() -> None:
 
 
 def concurrency_demo() -> None:
-    print("\n=== concurrency: piece latches, round-based schedule ===")
+    print("\n=== concurrency: tuning workers race foreground queries ===")
     db = Database(clock=SimClock(SCALE.cost_model()))
-    db.add_table(build_paper_table(rows=SCALE.rows, columns=1, seed=3))
-    index = CrackerIndex(db.column("R", "A1"), clock=db.clock)
-    scheduler = ConcurrentCrackScheduler(index)
+    db.add_table(build_paper_table(rows=SCALE.rows, columns=2, seed=3))
+    session = db.session("holistic", num_workers=2)
 
+    # Queue background refinements and leave two worker threads
+    # running: the queries below race them on the same indexes.
+    session.start_background_tuning(400)
     rng = np.random.default_rng(0)
-    clients = []
-    for i in range(12):
+    wrong = 0
+    for i in range(40):
+        column = f"A{i % 2 + 1}"
         low = float(rng.uniform(1, 9e7))
-        clients.append(ClientQuery(f"client-{i}", low, low + 1e6))
-    report = scheduler.run(clients)
+        result = session.select("R", column, low, low + 1e6)
+        values = db.column("R", column).values
+        truth = np.count_nonzero((values >= low) & (values < low + 1e6))
+        wrong += result.count != truth
+    session.finish_background_tuning()
+
+    kernel = session.strategy
+    stats = kernel.worker_pool.worker_stats()
     print(
-        f"executed {report.executed} concurrent selects in "
-        f"{report.rounds} rounds with {report.deferrals} deferrals"
+        f"40 queries answered, {wrong} wrong, while the workers made "
+        f"{sum(s.actions_effective for s in stats)} refinements"
     )
+    if wrong:
+        raise SystemExit(f"{wrong} queries raced to a wrong answer")
     print(
-        f"latch stats: {scheduler.latches.stats.grants} grants, "
-        f"{scheduler.latches.stats.conflicts} conflicts"
+        f"table-latch waits (stalls): {kernel.tape.stall_count()}; "
+        f"clock back to serial: {not db.clock.in_parallel}"
     )
-    waits = {
-        c.client: c.rounds_waited for c in clients if c.rounds_waited
-    }
-    print(f"clients that had to wait at least one round: {waits}")
-    index.check_invariants()
-    print(f"index ended consistent with {index.piece_count} pieces")
+    for ref, index in kernel.indexes.items():
+        index.check_invariants()
+        print(f"{ref.column}: consistent with {index.piece_count} pieces")
 
 
 if __name__ == "__main__":

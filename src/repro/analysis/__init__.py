@@ -21,7 +21,7 @@ mechanically:
   a debug mode where latch acquisitions are recorded per thread,
   order inversions are flagged as they happen, and
   :class:`~repro.cracking.index.CrackerIndex` mutation entry points
-  assert the caller holds the covering write latch;
+  assert the caller holds the covering table latch;
 * :mod:`repro.analysis.mypy_gate` -- the strict-typing gate over
   ``repro/simtime``, ``repro/cracking/piecemap`` and this package.
 

@@ -1,15 +1,15 @@
 """Static lock-order analysis over the latch-acquisition call graph.
 
 Deadlock freedom for the worker/serving planes rests on a global
-acquisition order (table latch before piece latches, latches before
-the index mutex, mutexes last).  This module recovers that order
+acquisition order (the table latch before the index mutex, mutexes
+last).  This module recovers that order
 statically:
 
 1. every class's lock-like attributes become *lock classes*
    (``threading.Lock/RLock/Condition`` attrs are named
    ``Class.attr``; :class:`ReadWriteLatch` instances take their
-   ``witness_group`` tag, so the table latch is ``latch.table`` and
-   every piece latch shares the class ``latch.piece``);
+   ``witness_group`` tag, so every index's table latch shares the
+   class ``latch.table``);
 2. each function is summarised as an ordered event list -- scoped
    ``with`` acquisitions, bare ``acquire_read/acquire_write`` calls
    (held to function end unless released), calls into other analysed
@@ -21,10 +21,10 @@ statically:
 4. a cycle in the resulting order graph is a potential deadlock and
    fails the analysis.
 
-Same-lock-class nestings (two piece latches held together) cannot be
-ordered by class alone; they are reported separately and delegated to
-the runtime witness (:mod:`repro.analysis.witness`), which enforces
-the ascending-bucket-key protocol dynamically.  Calls the analyser
+Same-lock-class nestings (two indexes' table latches held together)
+cannot be ordered by class alone; they are reported separately and
+delegated to the runtime witness (:mod:`repro.analysis.witness`),
+which enforces the ascending-key protocol dynamically.  Calls the analyser
 cannot resolve are counted, not ignored silently -- the count is part
 of the report so the under-approximation stays visible.
 """
@@ -362,7 +362,7 @@ class LockOrderAnalyzer:
             )
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
             # Simulate loop bodies twice: a bare acquisition repeated
-            # across iterations (write_pieces latching several buckets)
+            # across iterations (latching several objects of one class)
             # must surface as a same-class nesting for the witness.
             body = self._events_for_block(func, stmt.body, env)
             body = body + self._events_for_block(func, stmt.body, env)

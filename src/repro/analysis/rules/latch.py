@@ -10,15 +10,15 @@ at some enclosing statement level inside the same function, either
 * the statement is followed in its block -- with only provably
   side-effect-free statements in between -- by such a ``try``.
 
-``try_acquire*`` calls are conditional (the caller may not hold
-anything afterwards), so for those the rule only requires that the
-enclosing function has a matching release inside *some* ``finally``:
-the cooperative scheduler's grant/defer protocol releases via
-``release_all`` at the end of each phase.
+The repo's one latch (:class:`~repro.cracking.concurrency.ReadWriteLatch`)
+only has blocking acquisitions.  The rule also covers conditional
+``try_acquire*`` calls, after which the caller may hold nothing: for
+those it only requires a matching release inside *some* ``finally`` of
+the enclosing function, which may be a bulk release.
 
 A matching release is ``release_read``/``release_write`` agreeing with
 the acquisition mode, or any bulk release (a callee whose name starts
-with ``release`` -- e.g. ``release_all``).  When both the acquire and
+with ``release``, such as ``release_all``).  When both the acquire and
 the release receivers are simple dotted expressions, they must also
 name the same object.
 """

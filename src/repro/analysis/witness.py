@@ -12,13 +12,14 @@ witness is enabled:
   held, the edge ``A -> B`` is recorded; a later acquisition of A
   while B is held -- or any longer inversion cycle -- is an
   :class:`OrderViolation`;
-* same-group multi-acquisitions must take bucket keys in ascending
-  order (the sorted-key protocol of
-  :meth:`~repro.cracking.concurrency.PieceLatchTable.write_pieces`);
+* same-group multi-acquisitions must take keys in ascending order
+  (table latches of several indexes stack in sorted column-name
+  order);
 * :class:`~repro.cracking.index.CrackerIndex` mutation entry points
   call :func:`mutation_check`, which asserts that the calling thread
-  holds the covering piece write latch (or the whole-table latch) for
-  every index that has been *armed* -- armed meaning a
+  holds the index's table latch -- in either mode for a per-piece
+  mutation, exclusive for a whole-index one -- for every index that
+  has been *armed* -- armed meaning a
   :class:`~repro.holistic.workers.TuningWorkerPool` is actively racing
   it, which is exactly when an unlatched mutation is a data race.
 
@@ -41,12 +42,15 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.errors import ConcurrencyError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cracking.concurrency import PieceLatchTable
+    from repro.cracking.concurrency import (
+        LatchedCrackerAccess,
+        ReadWriteLatch,
+    )
     from repro.cracking.index import CrackerIndex
 
 
@@ -55,24 +59,16 @@ class WitnessError(ConcurrencyError):
 
 
 #: Group name of a latch that was never tagged by its owner (bare
-#: ReadWriteLatch instances constructed outside PieceLatchTable).
+#: ReadWriteLatch instances constructed outside LatchedCrackerAccess).
 UNTAGGED_GROUP = "latch.untagged"
 
 #: Latch groups whose *same-group* nesting is legal provided keys are
-#: taken in ascending order: piece latches follow the sorted-position
-#: protocol, table latches of distinct indexes stack in sorted
-#: column-name order (the serving frontend's multi-column windows).
-ORDERED_GROUPS = frozenset({"latch.piece", "latch.table"})
+#: taken in ascending order: table latches of distinct indexes stack in
+#: sorted column-name order (the serving frontend's multi-column
+#: windows).
+ORDERED_GROUPS = frozenset({"latch.table"})
 
 
-def _keys_ascend(first: int | str, second: int | str) -> bool:
-    """Whether acquiring ``second`` after ``first`` respects the
-    ascending-key protocol.  Same-type keys compare natively; a mixed
-    pair (one group keyed by position, another by name) compares by
-    string so the check stays total."""
-    if isinstance(first, int) and isinstance(second, int):
-        return first <= second
-    return str(first) <= str(second)
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,7 +76,7 @@ class Held:
     """One latch the current thread holds."""
 
     group: str
-    key: int | str | None
+    key: str | None
     mode: str  # "r" | "w"
     obj_id: int
 
@@ -183,12 +179,12 @@ class LatchWitness:
                 elif (
                     held.key is not None
                     and key is not None
-                    and not _keys_ascend(held.key, key)
+                    and held.key > key
                 ):
                     self._violate(
                         "key-order",
-                        f"{group} bucket {key} acquired while holding "
-                        f"bucket {held.key} (keys must ascend)",
+                        f"{group} key {key} acquired while holding "
+                        f"key {held.key} (keys must ascend)",
                         state.holds,
                     )
             elif held.group != group:
@@ -231,49 +227,26 @@ class LatchWitness:
     # -- mutation coverage ------------------------------------------------
 
     def check_mutation(
-        self,
-        table: "PieceLatchTable",
-        piece_starts: Sequence[int] | None,
-        what: str,
+        self, latch: "ReadWriteLatch", whole_index: bool, what: str
     ) -> None:
-        """Assert the covering write latch is held for a mutation.
+        """Assert the index's table ``latch`` covers a mutation.
 
-        ``piece_starts`` are the start positions of the pieces the
-        mutation restructures; ``None`` means the whole index (the
-        mutation needs the table-level exclusive latch).
+        A per-piece mutation needs the latch in either mode (the
+        index's monitor lock serialises shared holders); a whole-index
+        one needs it exclusive.
         """
         with self._lock:
             self.mutation_checks += 1
         state = self._state()
-        table_latch_id = id(table._table)
-        for held in state.holds:
-            if held.obj_id == table_latch_id and held.mode == "w":
-                return  # whole-table exclusive covers everything
-        if piece_starts is None:
-            self._violate(
-                "unlatched-mutation",
-                f"{what} mutates the whole index without the "
-                "table-level exclusive latch",
-                state.holds,
-            )
+        modes = {h.mode for h in state.holds if h.obj_id == id(latch)}
+        if "w" in modes or (modes and not whole_index):
             return
-        held_keys = {
-            held.key
-            for held in state.holds
-            if held.group == "latch.piece"
-            and held.mode == "w"
-            and getattr(held, "key", None) is not None
-        }
-        for start in piece_starts:
-            key = table.key_for(start)
-            if key not in held_keys:
-                self._violate(
-                    "unlatched-mutation",
-                    f"{what} mutates the piece at {start} (bucket "
-                    f"{key}) without its write latch",
-                    state.holds,
-                )
-                return
+        needed = "exclusive table latch" if whole_index else "table latch"
+        self._violate(
+            "unlatched-mutation",
+            f"{what} mutates the index without its {needed}",
+            state.holds,
+        )
 
     # -- reporting --------------------------------------------------------
 
@@ -301,10 +274,10 @@ class LatchWitness:
 # -- module-global switchboard (zero overhead when disabled) -------------
 
 _active: LatchWitness | None = None
-#: Armed indexes: id(index) -> (index, table).  Ids are kept alongside
+#: Armed indexes: id(index) -> (index, latch).  Ids are kept alongside
 #: strong references only while armed; pools disarm on stop, so the
 #: registry cannot leak across tests that stop their pools.
-_armed: dict[int, tuple["CrackerIndex", "PieceLatchTable"]] = {}
+_armed: dict[int, tuple["CrackerIndex", "ReadWriteLatch"]] = {}
 _armed_lock = threading.Lock()
 
 
@@ -345,8 +318,8 @@ def enabled(strict: bool = False) -> Iterator[LatchWitness]:
         disable()
 
 
-def arm(index: "CrackerIndex", table: "PieceLatchTable") -> None:
-    """Start enforcing latched mutation on ``index``.
+def arm(access: "LatchedCrackerAccess") -> None:
+    """Start enforcing latched mutation on ``access.index``.
 
     Called by the worker pool when it starts racing an index; a no-op
     unless a witness is enabled.
@@ -354,7 +327,7 @@ def arm(index: "CrackerIndex", table: "PieceLatchTable") -> None:
     if _active is None:
         return
     with _armed_lock:
-        _armed[id(index)] = (index, table)
+        _armed[id(access.index)] = (access.index, access.latch)
 
 
 def disarm(index: "CrackerIndex") -> None:
@@ -370,15 +343,13 @@ def disarm_all() -> None:
 
 
 def mutation_check(
-    index: "CrackerIndex",
-    piece_starts: Sequence[int] | Callable[[], Sequence[int]] | None,
-    what: str,
+    index: "CrackerIndex", what: str, whole_index: bool = False
 ) -> None:
     """Hook for index mutation entry points.
 
-    One global read when no witness is enabled.  ``piece_starts`` may
-    be a callable so call sites can defer computing piece positions
-    until a witness actually looks.
+    One global read when no witness is enabled.  ``whole_index`` marks
+    mutations that restructure more than the pieces holding one
+    select's bounds (rebuilds, batched crack passes).
     """
     w = _active
     if w is None:
@@ -387,5 +358,4 @@ def mutation_check(
         entry = _armed.get(id(index))
     if entry is None or entry[0] is not index:
         return
-    starts = piece_starts() if callable(piece_starts) else piece_starts
-    w.check_mutation(entry[1], starts, what)
+    w.check_mutation(entry[1], whole_index, what)

@@ -10,8 +10,8 @@ to refine every candidate column to the cache target:
 
 * ``workers = 0`` is the serial scheduler (the pre-worker kernel);
 * ``workers >= 1`` drain each idle window through the
-  :class:`~repro.holistic.workers.TuningWorkerPool` with piece-level
-  latches; the virtual clock charges each worker on its own lane and
+  :class:`~repro.holistic.workers.TuningWorkerPool` with one table
+  latch per index; the virtual clock charges each worker on its own lane and
   advances wall-clock by the slowest lane, so elapsed idle time drops
   toward ``busy / workers`` as the latch protocol allows.
 

@@ -3,19 +3,10 @@
 Reproduces the MonetDB cracking module the paper builds on [12], plus
 the cited extensions that define the adaptive-indexing design space:
 stochastic cracking [10], hybrid crack-sort (adaptive merging) [14],
-update merging [11] and piece-level concurrency control [7].
+update merging [11] and concurrency control for cracking [7].
 """
 
-from repro.cracking.concurrency import (
-    ClientQuery,
-    ConcurrentCrackScheduler,
-    LatchMode,
-    LatchedCrackerAccess,
-    PieceLatchManager,
-    PieceLatchTable,
-    ReadWriteLatch,
-    ScheduleReport,
-)
+from repro.cracking.concurrency import LatchedCrackerAccess, ReadWriteLatch
 from repro.cracking.engine import (
     CrackScratch,
     crack_in_three,
@@ -39,22 +30,16 @@ from repro.cracking.updates import (
 )
 
 __all__ = [
-    "ClientQuery",
-    "ConcurrentCrackScheduler",
     "CrackOrigin",
     "CrackScratch",
     "CrackTape",
     "CrackerIndex",
     "HybridCrackSortIndex",
-    "LatchMode",
     "LatchedCrackerAccess",
     "MaintainedCrackerIndex",
     "Piece",
-    "PieceLatchManager",
-    "PieceLatchTable",
     "PieceMap",
     "ReadWriteLatch",
-    "ScheduleReport",
     "SidewaysCrackerIndex",
     "StochasticCrackerIndex",
     "TapeRecord",

@@ -1,227 +1,40 @@
-"""Piece-level latching for concurrent cracking.
+"""One read/write latch per cracker index, for real worker threads.
 
 "Concurrency control for adaptive indexing" (Graefe et al., PVLDB 2012
 -- the paper's [7]) observes that cracking turns read-only selects into
-structural writers, and resolves it with short-lived latches on the
-pieces a select is about to crack.  This module reproduces the protocol
-in a deterministic, cooperatively-scheduled simulator:
+structural writers.  Every structural :class:`CrackerIndex` method
+already runs under the index's monitor lock, which keeps the cracker
+column and piece map memory-safe; what threads still need is a way for
+whole-index actions (piece scans, sorts, rebuilds, the serving
+front-end's batched passes) to exclude the per-piece traffic of
+foreground queries and tuning workers.  This module provides it:
 
-* :class:`PieceLatchManager` grants shared/exclusive latches keyed by
-  piece start position and counts conflicts;
-* :class:`ConcurrentCrackScheduler` interleaves a batch of logical
-  clients round-by-round; a client whose latch request conflicts with
-  one granted earlier in the same round is deferred to the next round.
-
-The cooperative scheduler has no OS threads -- but the parallel tuning
-workers of :mod:`repro.holistic.workers` are real threads, and they use
-the *blocking* half of this module:
-
-* :class:`ReadWriteLatch` -- a condition-variable read/write latch that
-  reports whether an acquisition had to wait (a *contention stall*);
-* :class:`PieceLatchTable` -- blocking read/write latches keyed by a
-  position bucket (``piece_start // granularity``), plus a table-level
-  latch so whole-index actions (piece scans, sorts) can exclude
-  piece-level traffic;
+* :class:`ReadWriteLatch` -- a condition-variable read/write latch
+  with writer preference that reports whether an acquisition had to
+  wait (a *contention stall*);
 * :class:`LatchedCrackerAccess` -- a facade over one
-  :class:`CrackerIndex` that latches the pieces an operation will
-  restructure before running it, revalidating after acquisition
-  (cracks move piece boundaries, so a latch taken on a stale key is
-  released and re-acquired on the fresh one).
+  :class:`CrackerIndex` owning its *table latch*: selects and single
+  cracks take it shared, whole-index actions take it exclusive, and
+  every wait is counted as a stall on the crack tape.
 
-Under CPython's GIL the latches cannot buy real parallel speedup --
-memory safety comes from the index's monitor lock -- but they exercise
-the published protocol for real: conflicting piece accesses wait,
-non-conflicting ones do not, and every wait is counted as a stall on
-the crack tape.  The virtual clock's parallel lanes translate the
-latch-level concurrency into the paper's multi-core time accounting.
+Under CPython's GIL piece-level latches could not buy parallel speedup
+on top of the monitor lock, so the index has exactly one latch.  The
+virtual clock's parallel lanes translate the workers' concurrency into
+the paper's multi-core time accounting.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterator
 
 from repro import faults
 from repro.analysis import witness
 from repro.cracking.index import CrackerIndex
 from repro.cracking.piece import CrackOrigin
-from repro.errors import ConcurrencyError, ConfigError, LatchTimeout
-from repro.simtime.clock import wall_now
-from repro.storage.views import RangeView, SelectionResult
-
-
-class LatchMode(Enum):
-    SHARED = "shared"
-    EXCLUSIVE = "exclusive"
-
-
-@dataclass(slots=True)
-class LatchStats:
-    grants: int = 0
-    conflicts: int = 0
-    releases: int = 0
-
-
-class PieceLatchManager:
-    """Shared/exclusive latches keyed by piece start position."""
-
-    def __init__(self) -> None:
-        self._holders: dict[int, tuple[LatchMode, set[str]]] = {}
-        self.stats = LatchStats()
-
-    def try_acquire(self, owner: str, piece_start: int, mode: LatchMode) -> bool:
-        """Attempt to latch a piece; returns False on conflict."""
-        current = self._holders.get(piece_start)
-        if current is None:
-            self._holders[piece_start] = (mode, {owner})
-            self.stats.grants += 1
-            return True
-        held_mode, holders = current
-        if owner in holders:
-            if held_mode is mode:
-                return True
-            if held_mode is LatchMode.EXCLUSIVE:
-                return True  # exclusive already implies shared access
-            if len(holders) == 1:
-                self._holders[piece_start] = (LatchMode.EXCLUSIVE, holders)
-                return True  # lone shared holder may upgrade
-            self.stats.conflicts += 1
-            return False
-        if held_mode is LatchMode.SHARED and mode is LatchMode.SHARED:
-            holders.add(owner)
-            self.stats.grants += 1
-            return True
-        self.stats.conflicts += 1
-        return False
-
-    def release_all(self, owner: str) -> int:
-        """Release every latch held by ``owner``; returns the count."""
-        released = 0
-        for start in list(self._holders):
-            mode, holders = self._holders[start]
-            if owner in holders:
-                holders.discard(owner)
-                released += 1
-                if not holders:
-                    del self._holders[start]
-        self.stats.releases += released
-        return released
-
-    def holders_of(self, piece_start: int) -> set[str]:
-        entry = self._holders.get(piece_start)
-        return set(entry[1]) if entry else set()
-
-    def held_count(self) -> int:
-        return len(self._holders)
-
-
-@dataclass(slots=True)
-class ClientQuery:
-    """One client's pending range query."""
-
-    client: str
-    low: float
-    high: float
-    result: SelectionResult | None = None
-    rounds_waited: int = 0
-
-
-@dataclass(slots=True)
-class ScheduleReport:
-    """Outcome of a scheduler run."""
-
-    rounds: int = 0
-    executed: int = 0
-    deferrals: int = 0
-    per_client_waits: dict[str, int] = field(default_factory=dict)
-
-
-class ConcurrentCrackScheduler:
-    """Deterministic round-based executor of concurrent cracking selects.
-
-    Each round, every still-pending query tries to exclusively latch
-    the pieces containing its two bounds (those are the pieces a
-    cracking select may restructure).  Conflicting queries wait for the
-    next round.  Latches are dropped at the end of each round, as in
-    the published protocol where latches live only for the duration of
-    the structural change.
-    """
-
-    def __init__(
-        self, index: CrackerIndex, latches: PieceLatchManager | None = None
-    ) -> None:
-        self.index = index
-        self.latches = latches if latches is not None else PieceLatchManager()
-
-    def _pieces_for(self, query: ClientQuery) -> list[int]:
-        pieces = self.index.piece_map
-        starts = {
-            pieces.piece_for_value(query.low).start,
-            pieces.piece_for_value(query.high).start,
-        }
-        return sorted(starts)
-
-    def run(self, queries: list[ClientQuery], max_rounds: int = 10_000) -> ScheduleReport:
-        """Execute all queries; returns scheduling statistics.
-
-        Raises:
-            ConcurrencyError: if ``max_rounds`` elapse without draining
-                the queue (indicates a livelock in the protocol).
-        """
-        report = ScheduleReport()
-        pending = list(queries)
-        while pending:
-            report.rounds += 1
-            if report.rounds > max_rounds:
-                raise ConcurrencyError(
-                    f"scheduler livelock: {len(pending)} queries still "
-                    f"pending after {max_rounds} rounds"
-                )
-            # Phase 1: every pending query requests latches against the
-            # *current* piece map, before anyone restructures it --
-            # acquisition precedes cracking, as in the published
-            # protocol.  Conflicting queries wait for the next round.
-            deferred: list[ClientQuery] = []
-            granted: list[ClientQuery] = []
-            for query in pending:
-                wanted = self._pieces_for(query)
-                acquired = all(
-                    self.latches.try_acquire(
-                        query.client, start, LatchMode.EXCLUSIVE
-                    )
-                    for start in wanted
-                )
-                if acquired:
-                    granted.append(query)
-                else:
-                    self.latches.release_all(query.client)
-                    query.rounds_waited += 1
-                    report.deferrals += 1
-                    deferred.append(query)
-            # Phase 2: granted queries execute (and restructure).  The
-            # latches drop in a finally so a select that raises (e.g.
-            # an injected fault) cannot strand its grants and wedge
-            # every later round.
-            try:
-                for query in granted:
-                    query.result = self.index.select_range(query.low, query.high)
-                    report.executed += 1
-            finally:
-                for query in granted:
-                    self.latches.release_all(query.client)
-            pending = deferred
-        for query in queries:
-            report.per_client_waits[query.client] = (
-                report.per_client_waits.get(query.client, 0)
-                + query.rounds_waited
-            )
-        return report
-
-
-# -- blocking latches for real worker threads ---------------------------
+from repro.errors import LatchTimeout
+from repro.storage.views import RangeView
 
 
 class ReadWriteLatch:
@@ -230,32 +43,32 @@ class ReadWriteLatch:
     Many readers or one writer; acquisitions return ``True`` when they
     had to wait for another holder (a contention stall), which the
     callers feed into the crack tape's stall accounting.  Writers are
-    not prioritised -- at tuning-action granularity starvation is not a
-    practical concern, and the simpler protocol is easier to reason
-    about.
+    preferred: once a writer waits, later readers queue behind it, so
+    a stream of overlapping readers cannot starve it.  The latch is
+    not reentrant -- a reader re-acquiring while a writer waits would
+    deadlock.
     """
 
     def __init__(
         self,
         witness_group: str | None = None,
-        witness_key: int | str | None = None,
+        witness_key: str | None = None,
     ) -> None:
         self._cond = threading.Condition()
         self._readers = 0
         self._writer = False
+        self._writers_waiting = 0
         #: Lock-class tag for the latch witness (see
         #: :mod:`repro.analysis.witness`); ``None`` reads as untagged.
         self.witness_group = witness_group
         self.witness_key = witness_key
 
-    def acquire_read(self, timeout_s: float | None = None) -> bool:
+    def acquire_read(self) -> bool:
+        """Take the latch shared; True if the acquisition waited."""
         with self._cond:
-            stalled = self._writer
-            deadline = (
-                None if timeout_s is None else wall_now() + timeout_s
-            )
-            while self._writer:
-                self._wait(deadline, "read")
+            stalled = self._writer or self._writers_waiting > 0
+            while self._writer or self._writers_waiting > 0:
+                self._cond.wait()
             self._readers += 1
         w = witness.active()
         if w is not None:
@@ -271,35 +84,21 @@ class ReadWriteLatch:
             if self._readers == 0:
                 self._cond.notify_all()
 
-    def acquire_write(self, timeout_s: float | None = None) -> bool:
+    def acquire_write(self) -> bool:
+        """Take the latch exclusive; True if the acquisition waited."""
         with self._cond:
             stalled = self._writer or self._readers > 0
-            deadline = (
-                None if timeout_s is None else wall_now() + timeout_s
-            )
-            while self._writer or self._readers > 0:
-                self._wait(deadline, "write")
+            self._writers_waiting += 1
+            try:
+                while self._writer or self._readers > 0:
+                    self._cond.wait()
+            finally:
+                self._writers_waiting -= 1
             self._writer = True
         w = witness.active()
         if w is not None:
             w.note_acquire(self, "w")
         return stalled
-
-    def _wait(self, deadline: float | None, mode: str) -> None:
-        """One condition wait bounded by ``deadline``.
-
-        Raises:
-            LatchTimeout: past the deadline; transient by contract, the
-                caller re-tries the acquisition.
-        """
-        if deadline is None:
-            self._cond.wait()
-            return
-        remaining = deadline - wall_now()
-        if remaining <= 0 or not self._cond.wait(remaining):
-            raise LatchTimeout(
-                f"{mode} latch not granted within its timeout"
-            )
 
     def release_write(self) -> None:
         w = witness.active()
@@ -310,165 +109,55 @@ class ReadWriteLatch:
             self._cond.notify_all()
 
 
-class PieceLatchTable:
-    """Blocking piece latches for one cracker index, bucketed by position.
+class LatchedCrackerAccess:
+    """Table-latched access to one :class:`CrackerIndex` for threads.
 
-    The latch for a piece is keyed by ``piece.start // granularity``:
-    granularity 1 gives one latch per piece (finest, most latches),
-    larger granularities trade latch count for contention, as in the
-    partition-level schemes of the multi-core adaptive-indexing
-    literature.  A table-level read/write latch layers on top so
-    whole-index operations (piece scans, sorts) can exclude all
-    piece-level traffic without enumerating keys.
+    Foreground queries and tuning workers go through this facade while
+    a worker pool is active.  :meth:`select_range` and
+    :meth:`crack_value` restructure at most two pieces and take the
+    table latch shared (the index's monitor lock serialises their
+    piece-map updates); :meth:`exclusive` excludes them all for
+    actions that scan or rewrite the whole index.  Stalls are reported
+    to the index's crack tape under the calling thread's worker
+    attribution.
+
+    Args:
+        index: the cracker index to guard.
+        witness_key: orders this table latch against other indexes'
+            for the latch witness; owners that hold several at once
+            must take them in ascending key order.
     """
 
     def __init__(
-        self,
-        granularity: int = 1,
-        acquire_timeout_s: float | None = None,
-        witness_key: int | str | None = None,
+        self, index: CrackerIndex, witness_key: str | None = None
     ) -> None:
-        if granularity < 1:
-            raise ConfigError(
-                f"latch granularity must be >= 1, got {granularity}"
-            )
-        if acquire_timeout_s is not None and acquire_timeout_s <= 0:
-            raise ConfigError(
-                f"acquire_timeout_s must be > 0, got {acquire_timeout_s}"
-            )
-        self.granularity = granularity
-        #: Optional bound on piece-latch write waits; ``None`` waits
-        #: forever.  A timeout raises LatchTimeout, which the access
-        #: facade treats as transient (release nothing was held,
-        #: re-acquire) -- the same path the fault plane's injected
-        #: ``latch.acquire`` timeouts exercise.
-        self.acquire_timeout_s = acquire_timeout_s
-        self._latches: dict[int, ReadWriteLatch] = {}
-        self._mutex = threading.Lock()
-        #: Table latches of *different* indexes may stack (the serving
-        #: frontend excludes workers from every column of a window at
-        #: once); the witness key orders those acquisitions, so owners
-        #: that stack tables must sort by it.
-        self.witness_key = witness_key
-        self._table = ReadWriteLatch(
+        self.index = index
+        self.latch = ReadWriteLatch(
             witness_group="latch.table", witness_key=witness_key
         )
-        self.stats = LatchStats()
-
-    def key_for(self, position: int) -> int:
-        """The latch bucket guarding a piece starting at ``position``."""
-        return position // self.granularity
-
-    def _latch(self, key: int) -> ReadWriteLatch:
-        with self._mutex:
-            latch = self._latches.get(key)
-            if latch is None:
-                latch = ReadWriteLatch(
-                    witness_group="latch.piece", witness_key=key
-                )
-                self._latches[key] = latch
-            return latch
-
-    def _note(self, stalled: bool) -> bool:
-        with self._mutex:
-            self.stats.grants += 1
-            if stalled:
-                self.stats.conflicts += 1
-        return stalled
 
     @contextmanager
-    def write_pieces(self, keys: list[int]) -> Iterator[bool]:
-        """Write-latch the buckets in ``keys``; yields True if stalled.
+    def _shared(self, what: str) -> Iterator[None]:
+        """The table latch in shared mode, for a ``what`` operation.
 
-        Keys are acquired in sorted order so concurrent multi-piece
-        acquirers (a select latching both of its bound pieces) cannot
-        deadlock.
-
-        Raises:
-            LatchTimeout: when a configured (or injected) acquisition
-                timeout elapses; no latch is left held.
+        An injected :class:`~repro.errors.LatchTimeout` is transient:
+        it is counted as a contention stall and the acquisition
+        retried -- queries never fail on latch pressure.
         """
-        faults.trip("latch.acquire", error=LatchTimeout)
-        ordered = sorted(set(keys))
-        stalled = self._table.acquire_read()
-        held: list[ReadWriteLatch] = []
-        try:
-            for key in ordered:
-                latch = self._latch(key)
-                stalled = (
-                    latch.acquire_write(self.acquire_timeout_s) or stalled
-                )
-                held.append(latch)
-            yield self._note(stalled)
-        finally:
-            for latch in reversed(held):
-                latch.release_write()
-            self._table.release_read()
-            with self._mutex:
-                self.stats.releases += len(held)
-
-    @contextmanager
-    def read_piece(self, key: int) -> Iterator[bool]:
-        """Read-latch one bucket; yields True if the acquisition stalled."""
-        stalled = self._table.acquire_read()
-        try:
-            latch = self._latch(key)
-            stalled = latch.acquire_read() or stalled
+        while True:
             try:
-                yield self._note(stalled)
-            finally:
-                latch.release_read()
-                with self._mutex:
-                    self.stats.releases += 1
-        finally:
-            self._table.release_read()
-
-    @contextmanager
-    def exclusive(self) -> Iterator[bool]:
-        """Latch the whole table (all pieces); yields True if stalled."""
-        stalled = self._table.acquire_write()
+                faults.trip("latch.acquire", error=LatchTimeout)
+                break
+            except LatchTimeout:
+                self.index.tape.note_stall()
+                faults.recovered("latch.acquire", f"{what} re-acquired")
+        stalled = self.latch.acquire_read()
         try:
-            yield self._note(stalled)
+            if stalled:
+                self.index.tape.note_stall()
+            yield
         finally:
-            self._table.release_write()
-            with self._mutex:
-                self.stats.releases += 1
-
-
-class LatchedCrackerAccess:
-    """Piece-latched access to one :class:`CrackerIndex` for threads.
-
-    Foreground queries and tuning workers go through this facade while
-    a worker pool is active: each operation latches the bucket(s) of
-    the piece(s) it may restructure, revalidates the piece location
-    after acquisition (another thread's crack can move a value into a
-    newly created piece with a different latch key) and only then runs
-    the underlying index operation.  Stalls are reported to the index's
-    crack tape under the calling thread's worker attribution.
-    """
-
-    #: Bounded retries for the latch-revalidate loop; each retry means
-    #: another thread restructured the target piece between lookup and
-    #: latch grant, so progress is being made globally -- the bound
-    #: only guards against protocol bugs.
-    MAX_RETRIES = 10_000
-
-    def __init__(self, index: CrackerIndex, table: PieceLatchTable) -> None:
-        self.index = index
-        self.table = table
-
-    def _note_stall(self) -> None:
-        self.index.tape.note_stall()
-
-    def _keys_for(self, *values: float) -> list[int]:
-        with self.index.lock:
-            pieces = self.index.piece_map
-            return sorted(
-                {
-                    self.table.key_for(pieces.piece_for_value(v).start)
-                    for v in values
-                }
-            )
+            self.latch.release_read()
 
     def select_range(
         self,
@@ -476,29 +165,9 @@ class LatchedCrackerAccess:
         high: float,
         origin: CrackOrigin = CrackOrigin.QUERY,
     ) -> RangeView:
-        """A cracking range select under piece latches.
-
-        A :class:`~repro.errors.LatchTimeout` (real or injected) is
-        transient: the attempt is counted as a contention stall and the
-        acquisition retried -- queries never fail on latch pressure.
-        """
-        for _ in range(self.MAX_RETRIES):
-            keys = self._keys_for(low, high)
-            try:
-                with self.table.write_pieces(keys) as stalled:
-                    if stalled:
-                        self._note_stall()
-                    if self._keys_for(low, high) != keys:
-                        continue  # pieces moved while we waited; re-latch
-                    return self.index.select_range(low, high, origin)
-            except LatchTimeout:
-                self._note_stall()
-                faults.recovered("latch.acquire", "select re-acquired")
-                continue
-        raise ConcurrencyError(
-            f"select [{low}, {high}) could not stabilise its piece "
-            f"latches after {self.MAX_RETRIES} retries"
-        )
+        """A cracking range select under the shared table latch."""
+        with self._shared("select"):
+            return self.index.select_range(low, high, origin)
 
     def crack_value(
         self,
@@ -508,40 +177,21 @@ class LatchedCrackerAccess:
     ) -> bool:
         """One latched crack at ``value``; False if it degenerated.
 
-        Degenerate means the value is already a pivot or its piece is
-        at/below ``min_piece_size`` -- same contract as
-        :meth:`CrackerIndex.random_crack`.
+        Same contract as :meth:`CrackerIndex.crack_at`.
         """
-        for _ in range(self.MAX_RETRIES):
-            with self.index.lock:
-                pieces = self.index.piece_map
-                if pieces.has_pivot(value):
-                    return False
-                piece = pieces.piece_for_value(value)
-                key = self.table.key_for(piece.start)
-            try:
-                with self.table.write_pieces([key]) as stalled:
-                    if stalled:
-                        self._note_stall()
-                    with self.index.lock:
-                        if pieces.has_pivot(value):
-                            return False
-                        piece = pieces.piece_for_value(value)
-                        if self.table.key_for(piece.start) != key:
-                            continue  # re-latch on the fresh key
-                        if piece.size <= min_piece_size:
-                            return False
-                        self.index.ensure_cut(value, origin)
-                        return True
-            except LatchTimeout:
-                self._note_stall()
-                faults.recovered("latch.acquire", "crack re-acquired")
-                continue
-        raise ConcurrencyError(
-            f"crack at {value} could not stabilise its piece latch "
-            f"after {self.MAX_RETRIES} retries"
-        )
+        with self._shared("crack"):
+            return (
+                self.index.crack_at(value, min_piece_size, origin)
+                is not None
+            )
 
-    def exclusive(self):
+    @contextmanager
+    def exclusive(self) -> Iterator[None]:
         """Whole-index latch for actions that scan or sort pieces."""
-        return self.table.exclusive()
+        stalled = self.latch.acquire_write()
+        try:
+            if stalled:
+                self.index.tape.note_stall()
+            yield
+        finally:
+            self.latch.release_write()

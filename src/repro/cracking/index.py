@@ -104,8 +104,8 @@ class CrackerIndex:
         #: cracker column and piece map runs under it, making the index
         #: safe to share between tuning worker threads and foreground
         #: queries.  Reentrant because select_range calls ensure_cut.
-        #: Piece-level concurrency semantics live one layer up, in
-        #: :class:`repro.cracking.concurrency.PieceLatchTable`.
+        #: Latching against whole-index actions lives one layer up,
+        #: in :class:`repro.cracking.concurrency.LatchedCrackerAccess`.
         self.lock = threading.RLock()
         self._array = self._materialize_values(column, narrow_values)
         rows = column.row_count
@@ -324,7 +324,7 @@ class CrackerIndex:
         """
         index, start, end, is_sorted, at_pivot = self._pieces.locate(value)
         if not at_pivot:
-            witness.mutation_check(self, (start,), "ensure_cut")
+            witness.mutation_check(self, "ensure_cut")
         return self._cut_located(
             value, index, start, end, is_sorted, at_pivot, origin
         )
@@ -382,13 +382,7 @@ class CrackerIndex:
         pieces = self._pieces
         positions, by_piece = self._locate_fresh(values)
         if by_piece:
-            witness.mutation_check(
-                self,
-                lambda: [
-                    pieces.piece_at_index(i).start for i in by_piece
-                ],
-                "ensure_cuts",
-            )
+            witness.mutation_check(self, "ensure_cuts")
             self._charge_copy_if_needed()
             # Physically partition every single-pivot unsorted piece in
             # one batched kernel call.  The pieces are pairwise
@@ -513,11 +507,8 @@ class CrackerIndex:
         pieces = self._pieces
         low_loc = pieces.locate(low)
         high_loc = pieces.locate(high)
-        witness.mutation_check(
-            self,
-            lambda: [loc[1] for loc in (low_loc, high_loc) if not loc[4]],
-            "select_range",
-        )
+        if not (low_loc[4] and high_loc[4]):
+            witness.mutation_check(self, "select_range")
         low_index, start, end, low_sorted, low_pivot = low_loc
         if (
             low_index == high_loc[0]
@@ -690,8 +681,10 @@ class CrackerIndex:
             return positions
         # Batched passes crack many pieces across the whole column, so
         # their concurrency contract is the table-level exclusive latch
-        # (what the serving front-end holds), not per-piece latches.
-        witness.mutation_check(self, None, "batched crack pass")
+        # (what the serving front-end holds), not the shared one.
+        witness.mutation_check(
+            self, "batched crack pass", whole_index=True
+        )
         # The replay emits the one-off copy charge at its first crack
         # event, exactly where sequential execution would have; the
         # flag flips here so later foreground cracks do not re-charge.
@@ -805,13 +798,25 @@ class CrackerIndex:
         if stats.value_span <= 0:
             return None
         value = float(rng.uniform(stats.min_value, stats.max_value))
-        location = self._pieces.locate(value)
-        index, start, end, is_sorted, at_pivot = location
-        if at_pivot:
+        return self.crack_at(value, min_piece_size, origin)
+
+    @_synchronized
+    def crack_at(
+        self,
+        value: float,
+        min_piece_size: int,
+        origin: CrackOrigin = CrackOrigin.TUNING,
+    ) -> int | None:
+        """Crack at ``value`` unless the action would degenerate.
+
+        Degenerate means ``value`` is already a pivot, or the piece
+        containing it is at/below ``min_piece_size`` rows.  Returns the
+        cut position, or ``None`` when degenerate.
+        """
+        index, start, end, is_sorted, at_pivot = self._pieces.locate(value)
+        if at_pivot or end - start <= min_piece_size:
             return None
-        if end - start <= min_piece_size:
-            return None
-        witness.mutation_check(self, (start,), "random_crack")
+        witness.mutation_check(self, "crack_at")
         return self._cut_located(
             value, index, start, end, is_sorted, at_pivot, origin
         )
@@ -848,7 +853,7 @@ class CrackerIndex:
         """
         piece = self._pieces.piece_at_index(piece_index)
         if not piece.is_sorted:
-            witness.mutation_check(self, (piece.start,), "sort_piece_at")
+            witness.mutation_check(self, "sort_piece_at")
             self._charge_copy_if_needed()
             charge = sort_piece(
                 self._array, piece.start, piece.end, self._rowids
@@ -879,7 +884,7 @@ class CrackerIndex:
         copy is charged to the clock like any first-touch
         materialization.
         """
-        witness.mutation_check(self, None, "rebuild")
+        witness.mutation_check(self, "rebuild", whole_index=True)
         self._array = self._materialize_values(self.column, True)
         rows = self.column.row_count
         if self._rowids is not None:

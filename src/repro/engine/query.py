@@ -11,6 +11,7 @@ used by workload generators and the what-if optimizer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import QueryError
@@ -27,6 +28,12 @@ class RangeQuery:
     high: float
 
     def __post_init__(self) -> None:
+        # NaN compares false against everything, so it would slip past
+        # the inversion check and crack a NaN pivot into the index.
+        if math.isnan(self.low) or math.isnan(self.high):
+            raise QueryError(
+                f"NaN bound on {self.ref}: low={self.low}, high={self.high}"
+            )
         if self.low > self.high:
             raise QueryError(
                 f"range inverted on {self.ref}: "

@@ -63,11 +63,12 @@ class CrackerError(IndexingError):
 
 
 class ConcurrencyError(IndexingError):
-    """A latch/lock protocol violation in the concurrency simulator."""
+    """A latch/lock protocol violation or a failed concurrent worker."""
 
 
 class LatchTimeout(ConcurrencyError):
-    """A latch acquisition gave up waiting (real or injected timeout).
+    """A latch acquisition gave up waiting (injected by the fault plane;
+    the latch itself blocks until granted).
 
     Transient by contract: the holder will release, so callers retry
     the acquisition instead of failing the operation.

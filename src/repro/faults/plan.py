@@ -46,7 +46,7 @@ FAULT_POINTS: dict[str, str] = {
         "a tuning worker crashes mid-refinement (holistic/workers)"
     ),
     "latch.acquire": (
-        "a piece-latch acquisition times out (cracking/concurrency)"
+        "a table-latch acquisition times out (cracking/concurrency)"
     ),
     "serving.replay": (
         "a client's query replay blows up mid-window (serving/frontend)"

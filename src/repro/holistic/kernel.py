@@ -76,9 +76,7 @@ class HolisticConfig:
             keeps the serial scheduler and reproduces pre-worker
             behaviour bit-for-bit; ``>= 1`` routes idle windows
             through a :class:`repro.holistic.workers.TuningWorkerPool`
-            with piece-level latching.
-        latch_granularity: rows per piece-latch bucket when workers
-            are enabled (1 = one latch per piece).
+            with one latch per index.
     """
 
     policy: str = "round_robin"
@@ -90,7 +88,6 @@ class HolisticConfig:
     batch_tuning: bool = False
     seed: int | None = 42
     num_workers: int = 0
-    latch_granularity: int = 1
 
     def __post_init__(self) -> None:
         if self.hot_column_threshold < 0:
@@ -105,11 +102,6 @@ class HolisticConfig:
         if self.num_workers < 0:
             raise ConfigError(
                 f"num_workers must be >= 0, got {self.num_workers}"
-            )
-        if self.latch_granularity < 1:
-            raise ConfigError(
-                "latch_granularity must be >= 1, got "
-                f"{self.latch_granularity}"
             )
 
 
@@ -159,7 +151,6 @@ class HolisticKernel(IndexingStrategy):
                 ranking=self.ranking,
                 policy=self.policy,
                 num_workers=self.config.num_workers,
-                latch_granularity=self.config.latch_granularity,
                 action=ActionKind(self.config.action),
                 min_piece_size=target,
                 seed=self.config.seed,
@@ -223,8 +214,8 @@ class HolisticKernel(IndexingStrategy):
         )
         index = self.index_for(query.ref)
         if self.worker_pool is not None and self.worker_pool.is_running:
-            # Workers are racing us: take piece latches for the pieces
-            # this select may crack, exactly like the workers do.
+            # Workers are racing us: take the index's table latch,
+            # exactly like the workers do.
             access = self.worker_pool.register_index(query.ref, index)
             result = access.select_range(query.low, query.high)
         else:
@@ -242,7 +233,7 @@ class HolisticKernel(IndexingStrategy):
 
         Ineligible -- falling back to sequential execution -- when
         tuning workers are racing foreground queries (selects must go
-        through piece latches) or the no-idle hot boost is active
+        through the table latch) or the no-idle hot boost is active
         (boost cracks mid-window change what later queries see, so
         their order must stay sequential).
         """
@@ -370,7 +361,7 @@ class HolisticKernel(IndexingStrategy):
         """Start the tuning workers so they race foreground queries.
 
         While running, foreground selects and idle windows go through
-        piece latches; tuning actions submitted with
+        the table latches; tuning actions submitted with
         :meth:`submit_tuning` drain in the background.
 
         Raises:

@@ -84,10 +84,10 @@ class AuxiliaryTuner:
         """Run one action through a latched access facade.
 
         The worker-thread counterpart of :meth:`perform`: random
-        cracks latch only the target piece
+        cracks take the index's table latch shared
         (:meth:`LatchedCrackerAccess.crack_value`); data-driven kinds
-        scan the whole piece map, so they take the table-level latch.
-        Counters update exactly as in the serial path.
+        scan the whole piece map, so they take it exclusive.  Counters
+        update exactly as in the serial path.
         """
         kind = kind if kind is not None else self.kind
         if kind is ActionKind.RANDOM_CRACK:
@@ -106,9 +106,7 @@ class AuxiliaryTuner:
             else:
                 self.actions_degenerate += 1
             return success
-        with access.exclusive() as stalled:
-            if stalled:
-                access.index.tape.note_stall()
+        with access.exclusive():
             return self.perform(access.index, kind)
 
     def perform_batch(self, index: CrackerIndex, count: int) -> int:
@@ -151,8 +149,8 @@ class AuxiliaryTuner:
         value range are hot, extra cracks are injected there during
         query processing.  With ``access`` (a
         :class:`~repro.cracking.concurrency.LatchedCrackerAccess`)
-        the crack goes through piece latches, for kernels whose tuning
-        workers are racing the foreground.
+        the crack takes the index's table latch, for kernels whose
+        tuning workers are racing the foreground.
         """
         if high <= low:
             return False
@@ -161,21 +159,15 @@ class AuxiliaryTuner:
             success = access.crack_value(
                 value, min_piece_size=self.min_piece_size
             )
-            if success:
-                self.actions_performed += 1
-            else:
-                self.actions_degenerate += 1
-            return success
-        if index.piece_map.has_pivot(value):
+        else:
+            success = (
+                index.crack_at(value, self.min_piece_size) is not None
+            )
+        if success:
+            self.actions_performed += 1
+        else:
             self.actions_degenerate += 1
-            return False
-        piece = index.piece_map.piece_for_value(value)
-        if piece.size <= self.min_piece_size:
-            self.actions_degenerate += 1
-            return False
-        index.ensure_cut(value, CrackOrigin.TUNING)
-        self.actions_performed += 1
-        return True
+        return success
 
     def _sort_smallest_unsorted(self, index: CrackerIndex) -> bool:
         """Finish off the smallest unsorted piece by sorting it."""

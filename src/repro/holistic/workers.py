@@ -5,19 +5,19 @@ cores *while queries run*, and that a holistic kernel should spend
 them on continuous index refinement.  This module provides that
 machinery: a :class:`TuningWorkerPool` of real ``threading`` workers
 that drain auxiliary refinement actions concurrently -- with each
-other and with foreground query processing -- using the piece-level
-read/write latches of :mod:`repro.cracking.concurrency`, following the
-recipes of "Concurrency Control for Adaptive Indexing" (Graefe et al.)
-and "Main Memory Adaptive Indexing for Multi-core Systems" (Alvarez et
-al.).
+other and with foreground query processing -- under the per-index
+read/write latch of :mod:`repro.cracking.concurrency` ("Concurrency
+Control for Adaptive Indexing", Graefe et al.), with the static
+chunking of "Main Memory Adaptive Indexing for Multi-core Systems"
+(Alvarez et al.).
 
 Three layers cooperate:
 
-* **latches** -- every structural operation latches the bucket of the
-  piece(s) it restructures (:class:`LatchedCrackerAccess`), so a
-  worker cracking one piece never conflicts with queries or workers
-  touching other pieces of the same index; conflicting accesses wait
-  and are counted as contention stalls on the crack tape;
+* **latches** -- each index has one table latch
+  (:class:`LatchedCrackerAccess`): selects and random cracks take it
+  shared and are serialised by the index's monitor lock, whole-index
+  actions (piece scans, sorts, repairs) take it exclusive; every wait
+  is counted as a contention stall on the crack tape;
 * **lanes** -- under a :class:`~repro.simtime.clock.SimClock` the pool
   opens a *parallel phase*: each thread's charges accumulate on its
   own lane and the phase advances virtual time by the **maximum**
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 from repro import faults
 from repro.analysis import witness
-from repro.cracking.concurrency import LatchedCrackerAccess, PieceLatchTable
+from repro.cracking.concurrency import LatchedCrackerAccess
 from repro.cracking.index import CrackerIndex
 from repro.cracking.tape import CrackTape
 from repro.errors import ConcurrencyError, ConfigError, CrackerError
@@ -99,7 +99,7 @@ class _Window:
 
 
 class TuningWorkerPool:
-    """N threads draining auxiliary refinements under piece latches.
+    """N threads draining auxiliary refinements under table latches.
 
     Args:
         clock: the shared engine clock; parallel phases are opened on
@@ -110,8 +110,6 @@ class TuningWorkerPool:
         ranking: the continuous column ranking workers pick from.
         policy: resource-spreading policy (shared, guarded by a lock).
         num_workers: worker thread count (>= 1).
-        latch_granularity: rows per piece-latch bucket (>= 1; 1 gives
-            one latch per piece).
         action: auxiliary action kind each worker performs.
         min_piece_size: cache-fit stopping criterion, in rows.
         seed: base seed; worker ``i`` gets an independent generator
@@ -126,7 +124,6 @@ class TuningWorkerPool:
         ranking: ColumnRanking,
         policy: TuningPolicy,
         num_workers: int,
-        latch_granularity: int = 1,
         action: ActionKind = ActionKind.RANDOM_CRACK,
         min_piece_size: int = 2,
         seed: int | None = None,
@@ -135,10 +132,6 @@ class TuningWorkerPool:
             raise ConfigError(
                 f"a worker pool needs num_workers >= 1, got {num_workers}"
             )
-        if latch_granularity < 1:
-            raise ConfigError(
-                f"latch_granularity must be >= 1, got {latch_granularity}"
-            )
         self.clock = clock
         self.tape = tape
         # Worker threads will share this tape: appends must lock.
@@ -146,7 +139,6 @@ class TuningWorkerPool:
         self.ranking = ranking
         self.policy = policy
         self.num_workers = num_workers
-        self.latch_granularity = latch_granularity
         self.action = action
         self.min_piece_size = min_piece_size
         self.stats: dict[int, WorkerStats] = {
@@ -198,22 +190,16 @@ class TuningWorkerPool:
     def register_index(
         self, ref: ColumnRef, index: CrackerIndex
     ) -> LatchedCrackerAccess:
-        """Create (or return) the latched access facade for ``ref``.
-
-        Each index gets its own latch table: piece positions of
-        different columns live in different spaces.
-        """
+        """Create (or return) the latched access facade for ``ref``."""
         with self._access_lock:
             access = self._accesses.get(ref)
             if access is None:
-                table = PieceLatchTable(
-                    self.latch_granularity,
-                    witness_key=f"{ref.table}.{ref.column}",
+                access = LatchedCrackerAccess(
+                    index, witness_key=f"{ref.table}.{ref.column}"
                 )
-                access = LatchedCrackerAccess(index, table)
                 self._accesses[ref] = access
             if self._running:
-                witness.arm(access.index, access.table)
+                witness.arm(access)
             return access
 
     def access_for(self, ref: ColumnRef) -> LatchedCrackerAccess | None:
@@ -244,7 +230,7 @@ class TuningWorkerPool:
             # Latch-sanitizer scope: while workers race these indexes,
             # every mutation must arrive under its covering latch.
             for access in self._accesses.values():
-                witness.arm(access.index, access.table)
+                witness.arm(access)
         for worker_id in range(self.num_workers):
             self._spawn_worker(worker_id)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 from textwrap import dedent
 
 import repro
-from repro.analysis import lockorder
+from repro.analysis import lockorder, witness
 
 SRC_ROOT = Path(repro.__file__).resolve().parent
 
@@ -24,23 +24,24 @@ def test_repo_latch_graph_is_acyclic():
 
 
 def test_repo_graph_contains_the_documented_order():
-    """The core of the deadlock argument: table latch before piece
-    latches, latches before the index mutex."""
+    """The core of the deadlock argument: the table latch before the
+    index mutex, the index mutex before the tape's."""
     report = lockorder.analyze()
     edges = {(e["from"], e["to"]) for e in report["edges"]}
-    assert ("latch.table", "latch.piece") in edges
     assert ("latch.table", "CrackerIndex.lock") in edges
-    assert ("latch.piece", "CrackerIndex.lock") in edges
+    assert ("CrackerIndex.lock", "CrackTape._lock") in edges
     # and never the reverses
-    assert ("latch.piece", "latch.table") not in edges
     assert ("CrackerIndex.lock", "latch.table") not in edges
-    assert ("CrackerIndex.lock", "latch.piece") not in edges
+    assert ("CrackTape._lock", "CrackerIndex.lock") not in edges
+    assert ("CrackTape._lock", "latch.table") not in edges
 
 
-def test_repo_reports_piece_latch_self_nesting_for_the_witness():
+def test_repo_same_class_nestings_are_witness_ordered():
+    """Nestings the static pass cannot order by class must be ones the
+    runtime witness orders by key."""
     report = lockorder.analyze()
     nested = {n["lock"] for n in report["same_class_nestings"]}
-    assert "latch.piece" in nested
+    assert nested <= witness.ORDERED_GROUPS
 
 
 def test_unresolved_sites_are_counted_not_hidden():

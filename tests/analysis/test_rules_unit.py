@@ -54,7 +54,7 @@ def test_latch_accepts_safe_statement_between_acquire_and_try():
 
 
 def test_latch_accepts_acquire_inside_protected_try():
-    # read_piece's shape: the inner acquire's own block is followed by
+    # Two nested latches: the inner acquire's own block is followed by
     # the inner try that releases it.
     src = _src(
         """

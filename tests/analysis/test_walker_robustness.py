@@ -62,7 +62,7 @@ _HEADERS = st.sampled_from(
         "while cond:",
         "for i in items:",
         "with lock:",
-        "with table.write_pieces(keys) as stalled:",
+        "with open(path) as handle:",
         "with a, b:",
         "try:",
         "def inner(p: float):",

@@ -1,7 +1,6 @@
 """Regressions for the defects the static-analysis pass surfaced.
 
-Each test here failed against the pre-lint code: latches stranded by
-an exception between acquisition and its try/finally, wall-clock reads
+Each test here failed against the pre-lint code: wall-clock reads
 bypassing the audited simtime helpers, and float needles promoting
 int64 stores during binary search (lossy beyond 2^53).
 """
@@ -12,15 +11,8 @@ import inspect
 import math
 
 import numpy as np
-import pytest
 
 import repro.cracking.concurrency as concurrency
-from repro.cracking.concurrency import (
-    ClientQuery,
-    ConcurrentCrackScheduler,
-    LatchMode,
-    PieceLatchTable,
-)
 from repro.cracking.engine import (
     _count_below,
     _less_mask,
@@ -34,55 +26,14 @@ from repro.storage.column import Column
 from repro.storage.updates import exact_range_cuts
 from repro.util.retry import retry_call
 
-# -- latch leaks ---------------------------------------------------------
-
-
-def test_read_piece_releases_table_latch_when_lookup_raises():
-    """read_piece acquires the table latch, then resolves the piece
-    latch; a failure in between must not strand the table latch (it
-    used to, wedging every later exclusive())."""
-    table = PieceLatchTable()
-
-    def boom(key):
-        raise RuntimeError("injected lookup failure")
-
-    table._latch = boom
-    with pytest.raises(RuntimeError):
-        with table.read_piece(0):
-            pass  # pragma: no cover - never reached
-    # Before the fix this timed out: the leaked read hold blocked the
-    # table-level writer forever.
-    assert table._table.acquire_write(timeout_s=0.5) is False
-    table._table.release_write()
-
-
-def test_scheduler_releases_grants_when_select_raises(small_column):
-    """Phase 2 of the scheduler drops its piece latches in a finally;
-    a select that raises (an injected fault, say) must not wedge the
-    next round's acquisitions."""
-    index = CrackerIndex(small_column, clock=SimClock())
-    scheduler = ConcurrentCrackScheduler(index)
-    index.select_range = lambda low, high: (_ for _ in ()).throw(
-        RuntimeError("injected select failure")
-    )
-    with pytest.raises(RuntimeError):
-        scheduler.run([ClientQuery("c1", 2e7, 6e7)])
-    # The failed client's exclusive grants are gone: a fresh client can
-    # take the same piece immediately.
-    assert scheduler.latches.try_acquire("probe", 0, LatchMode.EXCLUSIVE)
-    scheduler.latches.release_all("probe")
-
-
 # -- wall-clock routing --------------------------------------------------
 
 
 def test_concurrency_uses_the_audited_wall_helpers():
-    """Deadline math goes through simtime.clock.wall_now -- the module
-    must not import ``time`` at all (the determinism lint's contract)."""
+    """The latch module must not import ``time`` at all (the
+    determinism lint's contract): wall-clock reads go through the
+    audited simtime helpers."""
     assert not hasattr(concurrency, "time")
-    from repro.simtime.clock import wall_now
-
-    assert concurrency.wall_now is wall_now
 
 
 def test_retry_default_sleep_is_the_audited_helper():

@@ -1,6 +1,6 @@
 """Concurrency stress under the latch witness.
 
-Threads hammer one cracker index through the piece-latch facade with
+Threads hammer one cracker index through the table-latch facade with
 the witness enabled; the run must finish with zero order violations,
 zero unlatched mutations, and results that match the serial oracle.
 This is the dynamic half of the lock-order story -- the static
@@ -10,12 +10,13 @@ running code actually follows.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
 from repro.analysis import witness
-from repro.cracking.concurrency import LatchedCrackerAccess, PieceLatchTable
+from repro.cracking.concurrency import LatchedCrackerAccess
 from repro.cracking.index import CrackerIndex
 from repro.simtime.clock import SimClock
 
@@ -31,6 +32,18 @@ def _no_leaked_witness():
     witness.disable()
 
 
+@pytest.fixture(autouse=True)
+def _fast_thread_switches():
+    # Switch threads far more often than the default 5 ms so the
+    # latch's check-then-wait windows actually interleave.
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
+
+
 def _bounds(seed: int, i: int) -> tuple[float, float]:
     # Deterministic per-thread query stream, no shared RNG.
     a = (seed * 1_000_003 + i * 7_919) % 100_000_000
@@ -40,8 +53,7 @@ def _bounds(seed: int, i: int) -> tuple[float, float]:
 
 def test_latched_access_stress_has_zero_witness_violations(small_column):
     index = CrackerIndex(small_column, clock=SimClock())
-    table = PieceLatchTable()
-    access = LatchedCrackerAccess(index, table)
+    access = LatchedCrackerAccess(index)
     errors: list[BaseException] = []
 
     def worker(seed: int) -> None:
@@ -59,7 +71,7 @@ def test_latched_access_stress_has_zero_witness_violations(small_column):
             errors.append(exc)
 
     with witness.enabled() as w:
-        witness.arm(index, table)
+        witness.arm(access)
         threads = [
             threading.Thread(target=worker, args=(seed,), name=f"stress-{seed}")
             for seed in range(THREADS)
@@ -78,10 +90,10 @@ def test_latched_access_stress_has_zero_witness_violations(small_column):
 
 def test_exclusive_rebuild_races_readers_cleanly(small_column):
     """A whole-table exclusive (rebuild) interleaved with latched reads
-    must respect the table-before-piece order throughout."""
+    must keep every mutation covered throughout -- and finish: with
+    readers looping on the shared latch, the writer must not starve."""
     index = CrackerIndex(small_column, clock=SimClock())
-    table = PieceLatchTable()
-    access = LatchedCrackerAccess(index, table)
+    access = LatchedCrackerAccess(index)
     stop = threading.Event()
     errors: list[BaseException] = []
 
@@ -96,7 +108,7 @@ def test_exclusive_rebuild_races_readers_cleanly(small_column):
             errors.append(exc)
 
     with witness.enabled() as w:
-        witness.arm(index, table)
+        witness.arm(access)
         threads = [
             threading.Thread(target=reader, name=f"reader-{n}")
             for n in range(2)
@@ -104,11 +116,12 @@ def test_exclusive_rebuild_races_readers_cleanly(small_column):
         for t in threads:
             t.start()
         for _ in range(5):
-            with table.exclusive():
+            with access.exclusive():
                 index.rebuild()
         stop.set()
         for t in threads:
-            t.join()
+            t.join(timeout=30)
+            assert not t.is_alive()
 
     assert errors == []
     assert w.violations == [], [v.detail for v in w.violations]

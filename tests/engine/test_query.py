@@ -48,3 +48,26 @@ def test_sql_rendering():
     assert "SELECT A1 FROM R" in text
     assert "A1 >= 5" in text
     assert "A1 < 10" in text
+
+
+@pytest.mark.parametrize(
+    "low, high", [(float("nan"), 5.0), (5.0, float("nan")), (float("nan"),) * 2]
+)
+def test_nan_bound_rejected(low, high):
+    with pytest.raises(QueryError, match="NaN"):
+        _query(low, high)
+
+
+@pytest.mark.parametrize("strategy", ["adaptive", "holistic"])
+def test_nan_select_does_not_poison_the_column(strategy):
+    """A NaN bound used to pass validation, crack a NaN pivot into the
+    index and make every later query on the column return 0 rows."""
+    from repro import Database, SimClock, scale_by_name
+    from repro.storage import build_paper_table
+
+    db = Database(clock=SimClock(scale_by_name("tiny").cost_model()))
+    db.add_table(build_paper_table(rows=1_000, columns=1, seed=1))
+    session = db.session(strategy)
+    with pytest.raises(QueryError):
+        session.select("R", "A1", float("nan"), 5e7)
+    assert session.select("R", "A1", 0, 2e9).count == 1_000
